@@ -11,7 +11,10 @@
 #      thread-scaling grid, and container ROI/cache grid JSON contracts)
 #      + lint + analysis (szx-lint tree
 #      gate twice -- human and --json paths -- lint self-tests, and the
-#      curated clang-tidy profile when the tool is installed)
+#      curated clang-tidy profile when the tool is installed), then the
+#      serve tier twice more under $(nproc) background busy loops at
+#      ctest -j$(nproc), so a test that races the wall clock fails here
+#      (docs/testing.md "Stressed serve stage")
 #   2. clang thread-safety analysis: rebuild under the clang-tsa preset
 #      (-Wthread-safety -Werror) so every annotated lock contract in
 #      src/core/sync.hpp + executor/streaming/pipeline/salvage is checked;
@@ -42,6 +45,19 @@ ctest --preset fuzz-smoke
 ctest --preset bench-smoke
 ctest --preset lint
 ctest --preset analysis
+
+echo "=== stressed serve tier: ctest -j$(nproc) x2 under $(nproc) busy loops ==="
+# A subshell, so its EXIT trap stops the loops on success and failure alike.
+stressed_serve() (
+  busy=()
+  trap 'kill "${busy[@]}" 2>/dev/null' EXIT
+  for ((i = 0; i < $(nproc); ++i)); do
+    (while :; do :; done) &
+    busy+=($!)
+  done
+  ctest --preset serve -j "$(nproc)" --repeat until-fail:2
+)
+stressed_serve
 
 if [[ "$fast" == "1" ]]; then
   echo "check.sh: --fast requested, skipping clang-tsa and sanitizer tiers"

@@ -29,6 +29,9 @@
 //   without running; one that expires mid-decode unwinds cooperatively at
 //   the next cancellation check (szx::Cancelled) and is answered
 //   kDeadlineExceeded.  There is no monitor thread and no preemption.
+//   Admitted jobs are not dispatched in arrival order (an executor worker
+//   may claim the newest first), so a deadline bounds time since
+//   admission, not a place in a queue.
 //
 //   Graceful degradation.  A request body that fails its wire checksum is
 //   not dropped: decompress/salvage/query jobs route through the
@@ -85,7 +88,11 @@ struct ServerConfig {
   std::size_t chunk_cache_bytes = std::size_t{8} << 20;
 };
 
-/// Monotonic counters (snapshot via Server::stats).
+/// Monotonic counters (snapshot via Server::stats).  A job's status is
+/// counted after its response is written, so a snapshot taken when a client
+/// has just read a response may not include it; it is complete for a
+/// connection once the client sees that connection's EOF, and for the
+/// server once every ServeConnection call has returned.
 struct ServerStats {
   std::uint64_t connections = 0;        ///< ServeConnection calls begun
   std::uint64_t requests = 0;           ///< complete frames accepted

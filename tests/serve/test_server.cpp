@@ -4,6 +4,7 @@
 // and shutdown semantics.  Everything runs over bounded MemoryTransport
 // pairs, so the blocking/backpressure behavior is deterministic.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -343,29 +344,56 @@ TEST(Server, QueryDamagedChunkDegradesToChunkSalvage) {
   EXPECT_EQ(split.data.size(), t0.size() * sizeof(float));
 }
 
+/// Pipe size for the wedge tests: a decompress of 20000 zeros answers with
+/// 80 KB, which cannot fit, so its worker blocks mid-write.
+constexpr std::size_t kWedgePipeBytes = 4096;
+
+/// Spins until the worker answering `wedge_t` has filled its response
+/// pipe: the worker is then provably inside a blocked write, holding its
+/// admission slot, and stays there until the client reads.
+void AwaitWedgedWorker(MemoryTransport& wedge_t) {
+  while (wedge_t.inbox_buffered() < kWedgePipeBytes) std::this_thread::yield();
+}
+
 TEST(Server, QueuedJobPastDeadlineIsNotExecuted) {
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 8;
-  ServeHarness h(cfg);
+  ServeHarness h(cfg, kWedgePipeBytes);
   MemoryTransport& t = h.Connect();
   Client client(t);
 
-  // Occupy the single worker with a sizeable compression...
-  const std::vector<float> big = SineData(1u << 21);  // 8 MiB of floats
+  // Park the single worker on the wedged response...
+  const std::vector<float> zeros(20000, 0.0f);  // tiny stream, 80 KB output
   const std::uint64_t slow_id =
-      client.Send(Opcode::kCompress, CompressBody(big));
-  // ...then queue a job whose 1 ms deadline will expire while it waits.
+      client.Send(Opcode::kDecompress, Compress<float>(zeros, Params{}));
+  AwaitWedgedWorker(t);
+
+  // ...then queue a job with a 1 ms deadline behind it, and an undated one.
   const std::uint64_t doomed_id = client.Send(Opcode::kPing, {}, 1);
+  const std::uint64_t undated_id = client.Send(Opcode::kPing, {});
+
+  // A frame is counted before it is admitted, and frames are admitted in
+  // order, so once the third is counted the doomed deadline is armed.
+  // Sleeping past it has a lower bound only: load can lengthen the wait,
+  // never shorten it, and the worker cannot run either ping until the
+  // wedged response is read below.
+  while (h.server().stats().requests < 3) std::this_thread::yield();
+  std::this_thread::sleep_until(std::chrono::steady_clock::now() +
+                                std::chrono::milliseconds(2));
 
   bool saw_deadline = false;
   bool saw_slow = false;
-  for (int i = 0; i < 2; ++i) {
+  bool saw_undated = false;
+  for (int i = 0; i < 3; ++i) {
     const auto rsp = client.Receive();
     ASSERT_TRUE(rsp.has_value());
     if (rsp->header.request_id == doomed_id) {
       EXPECT_EQ(rsp->header.status, Status::kDeadlineExceeded);
       saw_deadline = true;
+    } else if (rsp->header.request_id == undated_id) {
+      EXPECT_EQ(rsp->header.status, Status::kOk);
+      saw_undated = true;
     } else {
       EXPECT_EQ(rsp->header.request_id, slow_id);
       EXPECT_EQ(rsp->header.status, Status::kOk);
@@ -374,6 +402,12 @@ TEST(Server, QueuedJobPastDeadlineIsNotExecuted) {
   }
   EXPECT_TRUE(saw_deadline);
   EXPECT_TRUE(saw_slow);
+  EXPECT_TRUE(saw_undated);
+
+  // A job's status is counted after its response is written; EOF arrives
+  // only once every job on the connection has finished, counting included.
+  t.ShutdownWrite();
+  EXPECT_FALSE(client.Receive().has_value());
   EXPECT_EQ(h.server().stats().deadline_exceeded, 1u);
 }
 
@@ -400,7 +434,7 @@ TEST(Server, OverloadShedsWithBackoffHints) {
   cfg.busy_backoff_max_ms = 64;
   // Small pipes: the decompress response (80 KB) cannot fit, so the worker
   // blocks mid-write and the admission slot stays held deterministically.
-  ServeHarness h(cfg, /*pipe_capacity=*/4096);
+  ServeHarness h(cfg, kWedgePipeBytes);
   MemoryTransport& wedge_t = h.Connect();
   Client wedge(wedge_t);
 
@@ -408,11 +442,9 @@ TEST(Server, OverloadShedsWithBackoffHints) {
   const ByteBuffer stream = Compress<float>(zeros, Params{});
   const std::uint64_t decomp_id = wedge.Send(Opcode::kDecompress, stream);
 
-  // Give the worker time to claim the slot and block on the full pipe.
-  while (h.server().stats().requests < 1) {
-    std::this_thread::yield();
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The slot is held from admission until the response drains, and a full
+  // inbox proves the worker is blocked inside that write.
+  AwaitWedgedWorker(wedge_t);
 
   // Shed on a SECOND connection: its write mutex is free (the wedged worker
   // holds the first connection's), so every BUSY is written -- and readable
@@ -456,15 +488,14 @@ TEST(Server, BusyBudgetExhaustionClosesTheConnection) {
   cfg.workers = 1;
   cfg.queue_capacity = 1;
   cfg.busy_budget = 3;
-  ServeHarness h(cfg, /*pipe_capacity=*/4096);
+  ServeHarness h(cfg, kWedgePipeBytes);
   MemoryTransport& wedge_t = h.Connect();
   Client wedge(wedge_t);
 
   const std::vector<float> zeros(20000, 0.0f);
   const ByteBuffer stream = Compress<float>(zeros, Params{});
   (void)wedge.Send(Opcode::kDecompress, stream);
-  while (h.server().stats().requests < 1) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  AwaitWedgedWorker(wedge_t);
 
   // Hammer a second connection while the only slot is wedged: the server
   // answers exactly budget=3 kBusy, then hangs up on the abuser.
