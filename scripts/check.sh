@@ -86,7 +86,8 @@ cmake --build --preset tsan -j "$(nproc)" \
   --target test_omp_codec test_cusim test_kernel_harness test_kernels \
            test_salvage test_salvage_property test_executor test_streaming \
            test_pipeline test_huffman test_szref test_sz2 \
-           test_chunk_cache test_container_salvage \
+           test_chunk_cache test_container test_file_backend \
+           test_container_salvage \
            test_serve_server test_serve_chaos test_serve_fd_transport \
            test_cancel test_container_cancel_race
 # SZX_THREADS=4 forces the chunked-Huffman parallel decode (szref/sz2) onto

@@ -53,6 +53,16 @@ ChunkCache::Value DecodeChunkToBuffer(ByteSpan stream,
   return buf;
 }
 
+/// The calling thread's buffer for chunk bytes read from a file source.
+/// Per thread, so concurrent workers never share one; separate from the
+/// worker ScratchArena, which DecodeChunkToBuffer and the ragged-edge path
+/// reset while the chunk bytes are still being decoded.  A span source
+/// returns views and never touches it.
+ByteBuffer& ChunkScratch() {
+  thread_local ByteBuffer scratch;
+  return scratch;
+}
+
 /// Pre-decode plausibility probe shared by every chunk decode path: the
 /// chunk stream must claim exactly the element count the directory geometry
 /// implies, and that count must be plausible for the stream's byte size
@@ -259,11 +269,25 @@ template void ContainerWriter::AppendTimestep<double>(std::uint32_t,
 // ---------------------------------------------------------------------------
 
 ContainerReader::ContainerReader(ByteSpan container, ChunkCache* cache)
-    : container_(container),
+    : span_(container),
       cache_(cache),
       stream_id_(cache != nullptr ? ChunkCache::NewStreamId() : 0) {
-  ByteCursor cur(container);
-  const auto h = cur.Read<ContainerHeader>();
+  Open();
+}
+
+ContainerReader::ContainerReader(const ReadSource& source, ChunkCache* cache)
+    : span_(ByteSpan()),
+      external_(&source),
+      cache_(cache),
+      stream_id_(cache != nullptr ? ChunkCache::NewStreamId() : 0) {
+  Open();
+}
+
+void ContainerReader::Open() {
+  const ReadSource& src = source();
+  ByteBuffer scratch;  // header, then directory (file sources only)
+  const auto h = ByteCursor(src.ReadAt(0, sizeof(ContainerHeader), scratch))
+                     .Read<ContainerHeader>();
   if (h.magic != kContainerMagic) {
     throw Error("szx: bad container magic");
   }
@@ -278,14 +302,17 @@ ContainerReader::ContainerReader(ByteSpan container, ChunkCache* cache)
       h.directory_offset) {
     throw Error("szx: container directory offset mismatch");
   }
-  if (CheckedAdd(h.directory_offset, h.directory_bytes) != container.size()) {
+  // The size check comes before the directory read, so the directory
+  // length is bounded by bytes that exist.
+  if (CheckedAdd(h.directory_offset, h.directory_bytes) != src.size()) {
     throw Error("szx: container size disagrees with the header");
   }
   if (h.directory_bytes < kDirectoryTailBytes) {
     throw Error("szx: container directory shorter than its trailer");
   }
-  cur.SkipArray(h.payload_bytes, 1);
-  const ByteSpan dir = cur.Rest();
+  const ByteSpan dir =
+      src.ReadAt(h.directory_offset,
+                 CheckedNarrow<std::size_t>(h.directory_bytes), scratch);
 
   // Self-checksummed trailer: reject a damaged directory before trusting
   // any offset in it (the directory mirror of the v2 footer tail).
@@ -404,22 +431,22 @@ std::uint64_t ContainerReader::EntryIndex(std::uint32_t field,
   return f.first_entry + timestep * f.chunks_per_timestep + chunk;
 }
 
-ByteSpan ContainerReader::ChunkStream(std::uint64_t entry_index) const {
+ByteSpan ContainerReader::ChunkStream(std::uint64_t entry_index,
+                                      ByteBuffer& scratch) const {
   if (entry_index >= entries_.size()) {
     throw Error("szx: container entry index out of range");
   }
   const ContainerChunkEntry& e = entries_[CheckedNarrow<std::size_t>(
       entry_index)];
-  ByteCursor cur(container_);
-  cur.SkipArray(e.offset, 1);
-  return cur.SliceArray(e.bytes, 1);
+  return source().ReadAt(e.offset, CheckedNarrow<std::size_t>(e.bytes),
+                         scratch);
 }
 
 bool ContainerReader::VerifyChunk(std::uint64_t entry_index) const {
   if (entry_index >= entries_.size()) {
     throw Error("szx: container entry index out of range");
   }
-  return Fnv1a64(ChunkStream(entry_index)) ==
+  return Fnv1a64(ChunkStream(entry_index, ChunkScratch())) ==
          entries_[CheckedNarrow<std::size_t>(entry_index)].fnv;
 }
 
@@ -470,7 +497,7 @@ void ContainerReader::DecompressRange(std::uint32_t field,
   };
   const auto decode_chunk = [&](std::uint64_t eidx,
                                 std::uint64_t chunk_count) -> ByteSpan {
-    const ByteSpan stream = ChunkStream(eidx);
+    const ByteSpan stream = ChunkStream(eidx, ChunkScratch());
     if (Fnv1a64(stream) !=
         entries_[CheckedNarrow<std::size_t>(eidx)].fnv) {
       throw Error("szx: container chunk checksum mismatch");
@@ -561,8 +588,9 @@ std::vector<T> ContainerReader::DecompressTimestep(std::uint32_t field,
     const std::uint64_t begin = c * f.chunk_elements;
     const std::uint64_t chunk_count = std::min<std::uint64_t>(
         f.chunk_elements, f.elements_per_timestep - begin);
-    ProbeChunkStream<T>(ChunkStream(EntryIndex(field, timestep, c)),
-                        chunk_count);
+    ProbeChunkStream<T>(
+        ChunkStream(EntryIndex(field, timestep, c), ChunkScratch()),
+        chunk_count);
   }
   std::vector<T> out(CheckedNarrow<std::size_t>(f.elements_per_timestep));
   DecompressRange<T>(field, timestep, 0, std::span<T>(out), max_threads);

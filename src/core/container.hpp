@@ -27,11 +27,15 @@
 // random_access.hpp path across chunk boundaries: covered chunks run
 // through exec::ParallelFor, fully-covered chunks decode straight into the
 // caller's slice, ragged edge chunks decode into per-worker ScratchArena
-// scratch.  An optional ChunkCache (core/chunk_cache.hpp) retains decoded
-// chunk bytes keyed by (reader stream id, entry, error-bound bits) so
-// repeated ROI queries over hot regions skip decode entirely; cache hits
-// are drained serially before the misses fan out, so an all-hit query is a
-// straight sequence of probe + slice copies with no executor dispatch.
+// scratch.  The reader pulls bytes through a positioned-read source
+// (core/read_source.hpp): over a span every read is a zero-copy view, over
+// a file (iosim::FileSource) a query reads the 48-byte header, the
+// directory and the covered chunks and nothing else.  An optional
+// ChunkCache (core/chunk_cache.hpp) retains decoded chunk bytes keyed by
+// (reader stream id, entry, error-bound bits) so repeated ROI queries over
+// hot regions skip decode entirely; cache hits are drained serially before
+// the misses fan out, so an all-hit query is a straight sequence of probe +
+// slice copies with no executor dispatch.
 #pragma once
 
 #include <array>
@@ -45,6 +49,7 @@
 #include "core/chunk_cache.hpp"
 #include "core/common.hpp"
 #include "core/format.hpp"
+#include "core/read_source.hpp"
 
 namespace szx {
 
@@ -144,17 +149,26 @@ class ContainerWriter {
   bool finished_ = false;
 };
 
-/// Zero-copy reader over a container byte span (the span must outlive the
-/// reader).  The constructor validates the header, the directory trailer
-/// checksum, and every entry's bounds before any offset is trusted; a
-/// malformed container throws szx::Error and a reader is never constructed
-/// over one.  Const methods are safe to call concurrently.
+/// Reader over a container held in a positioned-read source.  The
+/// constructor reads the header, checks that the header's directory ends
+/// exactly at the source's end, and only then reads the directory, so a
+/// forged header cannot drive a large allocation.  It validates the
+/// directory trailer checksum and every entry's bounds before any offset is
+/// trusted; a malformed container throws szx::Error and a reader is never
+/// constructed over one.  Chunk bytes are read on demand into per-worker
+/// scratch and checksum-verified before decode.  Const methods are safe to
+/// call concurrently.
 class ContainerReader {
  public:
-  /// `cache` may be nullptr (no caching).  A non-null cache may be shared
-  /// between readers and threads; this reader's entries are scoped under a
-  /// fresh process-unique stream id.
+  /// Zero-copy reader over a container byte span (the span must outlive
+  /// the reader).  `cache` may be nullptr (no caching).  A non-null cache
+  /// may be shared between readers and threads; this reader's entries are
+  /// scoped under a fresh process-unique stream id.
   explicit ContainerReader(ByteSpan container, ChunkCache* cache = nullptr);
+  /// Reader over any positioned-read source (the source must outlive the
+  /// reader); `cache` as above.
+  explicit ContainerReader(const ReadSource& source,
+                           ChunkCache* cache = nullptr);
 
   [[nodiscard]] std::size_t num_fields() const { return fields_.size(); }
   [[nodiscard]] const ContainerField& field(std::size_t i) const {
@@ -173,11 +187,16 @@ class ContainerReader {
   }
   [[nodiscard]] std::uint64_t num_entries() const { return entries_.size(); }
 
-  /// The chunk's stream bytes (offset/bytes were validated at construction;
-  /// this does not verify the chunk checksum -- decode paths do).
-  [[nodiscard]] ByteSpan ChunkStream(std::uint64_t entry_index) const;
+  /// The chunk's stream bytes, read through the source (offset/bytes were
+  /// validated at construction; this does not verify the chunk checksum --
+  /// decode paths do).  The view is valid until `scratch` is next modified:
+  /// a span source returns a view of its own bytes, a file source fills
+  /// `scratch`.
+  [[nodiscard]] ByteSpan ChunkStream(std::uint64_t entry_index,
+                                     ByteBuffer& scratch) const;
 
-  /// True iff the chunk bytes hash to the directory checksum.
+  /// True iff the chunk bytes hash to the directory checksum (reads the
+  /// chunk into the calling thread's scratch).
   [[nodiscard]] bool VerifyChunk(std::uint64_t entry_index) const;
 
   /// Decompresses elements [first, first + out.size()) of one (field,
@@ -201,7 +220,13 @@ class ContainerReader {
   [[nodiscard]] std::uint64_t stream_id() const { return stream_id_; }
 
  private:
-  ByteSpan container_;
+  void Open();
+  [[nodiscard]] const ReadSource& source() const {
+    return external_ != nullptr ? *external_ : span_;
+  }
+
+  SpanSource span_;                       ///< the ByteSpan constructor's
+  const ReadSource* external_ = nullptr;  ///< the ReadSource constructor's
   ChunkCache* cache_ = nullptr;
   std::uint64_t stream_id_ = 0;
   std::vector<ContainerField> fields_;

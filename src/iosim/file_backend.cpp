@@ -24,6 +24,49 @@ std::string ErrnoText(int err) { return std::strerror(err); }
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// PreadFull
+
+std::size_t PreadFull(int fd, std::span<std::byte> out, std::uint64_t offset,
+                      const RawReadOp& raw, FileIoStats* stats,
+                      const std::string& path) {
+  std::size_t done = 0;
+  int stalls = 0;
+  while (done < out.size()) {
+    const std::span<std::byte> rest = out.subspan(done);
+    int err = 0;
+    long long n = 0;
+    if (raw) {
+      n = raw(rest.data(), rest.size(), offset + done, err);
+    } else {
+      n = ::pread(fd, rest.data(), rest.size(),
+                  static_cast<off_t>(offset + done));
+      err = errno;
+    }
+    if (n < 0) {
+      if (err == EINTR) {
+        if (stats != nullptr) ++stats->eintr_retries;
+        if (++stalls > kMaxTransientRetries) {
+          throw std::runtime_error(
+              "pread: EINTR persisted past the retry budget on " + path);
+        }
+        continue;  // positioned read: the resume offset cannot drift
+      }
+      throw std::runtime_error("pread: read failed on " + path + ": " +
+                               ErrnoText(err));
+    }
+    if (n == 0) {
+      break;  // end of file: the caller decides whether short is an error
+    }
+    if (static_cast<std::size_t>(n) < rest.size() && stats != nullptr) {
+      ++stats->short_ios;  // short read: resume at offset + done, byte-exact
+    }
+    done += static_cast<std::size_t>(n);
+    stalls = 0;
+  }
+  return done;
+}
+
+// ---------------------------------------------------------------------------
 // ChunkFileWriter
 
 ChunkFileWriter::ChunkFileWriter(const std::string& path) : path_(path) {
@@ -142,46 +185,6 @@ RawReadOp ChunkFileReader::set_raw_read(RawReadOp op) {
   return std::exchange(raw_read_, std::move(op));
 }
 
-std::size_t ChunkFileReader::ReadFullAt(std::span<std::byte> out,
-                                        std::uint64_t offset) {
-  std::size_t done = 0;
-  int stalls = 0;
-  while (done < out.size()) {
-    const std::span<std::byte> rest = out.subspan(done);
-    int err = 0;
-    long long n = 0;
-    if (raw_read_) {
-      n = raw_read_(rest.data(), rest.size(), offset + done, err);
-    } else {
-      n = ::pread(fd_, rest.data(), rest.size(),
-                  static_cast<off_t>(offset + done));
-      err = errno;
-    }
-    if (n < 0) {
-      if (err == EINTR) {
-        ++stats_.eintr_retries;
-        if (++stalls > kMaxTransientRetries) {
-          throw std::runtime_error(
-              "ChunkFileReader: EINTR persisted past the retry budget on " +
-              path_);
-        }
-        continue;  // positioned read: the resume offset cannot drift
-      }
-      throw std::runtime_error("ChunkFileReader: read failed on " + path_ +
-                               ": " + ErrnoText(err));
-    }
-    if (n == 0) {
-      break;  // end of file mid-chunk: deliver what exists
-    }
-    if (static_cast<std::size_t>(n) < rest.size()) {
-      ++stats_.short_ios;  // short read: resume at offset + done, byte-exact
-    }
-    done += static_cast<std::size_t>(n);
-    stalls = 0;
-  }
-  return done;
-}
-
 std::size_t ChunkFileReader::ReadChunk(std::span<std::byte> out) {
   if (out.empty()) {
     return 0;
@@ -194,7 +197,8 @@ std::size_t ChunkFileReader::ReadChunk(std::span<std::byte> out) {
     }
     // Every retry restarts from the identical chunk offset, so an injected
     // failure can never skip bytes or deliver them twice.
-    const std::size_t got = ReadFullAt(out, next_offset_);
+    const std::size_t got =
+        PreadFull(fd_, out, next_offset_, raw_read_, &stats_, path_);
     const bool inject_failure = faults_.period != 0 && got != 0 &&
                                 ordinal % faults_.period == 0 && attempt == 1;
     if (inject_failure) {

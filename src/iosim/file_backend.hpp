@@ -12,9 +12,11 @@
 // stopped -- bounded, so a stuck descriptor turns into an error instead of
 // a livelock.  The raw ops are injectable (set_raw_read / set_raw_write),
 // which is how the unit tests drive interrupted-syscall schedules without
-// a kernel's help.
+// a kernel's help.  The read side of that contract is one free function,
+// PreadFull, shared by ChunkFileReader and iosim::FileSource
+// (file_source.hpp, the positioned-read source container readers use).
 //
-// Deliberately independent of src/core: buffers are std::vector<std::byte>
+// This header is independent of src/core: buffers are std::vector<std::byte>
 // / std::span<std::byte> and the mutator is a std::function, so tests can
 // plug in testkit's InjectFault without iosim linking against it.
 #pragma once
@@ -44,6 +46,20 @@ using RawReadOp = std::function<long long(
 /// fewer than `n` -- a short write), or -1 with `err` set.
 using RawWriteOp =
     std::function<long long(const std::byte* src, std::size_t n, int& err)>;
+
+struct FileIoStats;
+
+/// The one positioned-read loop of the tree: reads out.size() bytes of `fd`
+/// starting at `offset`.  A short read resumes from the exact byte where it
+/// stopped and EINTR is retried, both under a bounded budget, so a stuck
+/// descriptor becomes an error instead of a livelock.  Returns the bytes
+/// read, fewer than out.size() only at end of file.  `raw` replaces the
+/// real ::pread when non-empty (tests).  `stats` may be null; otherwise its
+/// short_ios and eintr_retries are counted.  Throws std::runtime_error on a
+/// hard error or an exhausted budget; `path` names the file in messages.
+std::size_t PreadFull(int fd, std::span<std::byte> out, std::uint64_t offset,
+                      const RawReadOp& raw, FileIoStats* stats,
+                      const std::string& path);
 
 struct FileIoStats {
   std::uint64_t chunks = 0;    ///< chunks written / successfully read
@@ -127,8 +143,6 @@ class ChunkFileReader {
   const FileIoStats& stats() const { return stats_; }
 
  private:
-  std::size_t ReadFullAt(std::span<std::byte> out, std::uint64_t offset);
-
   int fd_ = -1;
   std::string path_;
   TransientReadFaults faults_;

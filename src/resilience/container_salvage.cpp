@@ -5,6 +5,7 @@
 
 #include "core/compressor.hpp"
 #include "core/executor.hpp"
+#include "core/integrity.hpp"
 
 namespace szx::resilience {
 namespace {
@@ -112,8 +113,9 @@ ContainerSalvageResult<T> SalvageContainerTimestep(
     const std::span<T> slice = out.subspan(
         CheckedNarrow<std::size_t>(begin), CheckedNarrow<std::size_t>(count));
     const std::uint64_t eidx = reader.EntryIndex(field, timestep, c);
-    const ByteSpan stream = reader.ChunkStream(eidx);
-    if (reader.VerifyChunk(eidx)) {
+    ByteBuffer scratch;  // stays empty over a span source (zero-copy view)
+    const ByteSpan stream = reader.ChunkStream(eidx, scratch);
+    if (Fnv1a64(stream) == reader.entry(eidx).fnv) {
       try {
         DecompressInto<T>(stream, slice);
         slot.bit_exact = true;

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/container.hpp"
 #include "core/kernels/kernels.hpp"
 
 #include "../test_util.hpp"
@@ -676,6 +679,111 @@ TEST_F(CliTest, ContainerExitCodeContract) {
   std::remove(container.c_str());
   std::remove((container + ".bad").c_str());
   std::remove((container + ".trunc").c_str());
+}
+
+std::vector<char> ReadChars(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void WriteChars(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// unpack reads the header, the directory and the ROI's chunks only: damage
+// elsewhere does not reach it (query still reports it), damage inside the
+// ROI and a header that promises more bytes than the file holds are
+// corruption (3).
+TEST_F(CliTest, ContainerUnpackReadsOnlyTheRoiChunks) {
+  const std::string container = TempPath("c.szx3");
+  const std::string damaged = TempPath("damaged.szx3");
+  const std::string long_dir = TempPath("longdir.szx3");
+  const std::string roi_ref = TempPath("roi_ref.f32");
+  const std::string roi_out = TempPath("roi_out.f32");
+  ASSERT_EQ(CliExitCode("pack -o " + container + " --field temp:" + raw_ +
+                        " -m abs -e 1e-3 --chunk 4096"),
+            0);
+  const std::string roi = " --first 100 --count 8000";  // chunks 0..1
+  ASSERT_EQ(CliExitCode("unpack -i " + container + " -o " + roi_ref + roi), 0);
+
+  std::vector<char> bytes = ReadChars(container);
+  std::uint64_t victim_offset = 0;
+  szx::ContainerHeader header;
+  {
+    const szx::ByteSpan view = std::as_bytes(std::span<const char>(bytes));
+    const szx::ContainerReader r(view);
+    const szx::ContainerChunkEntry& e = r.entry(r.EntryIndex(0, 0, 5));
+    victim_offset = e.offset + e.bytes / 2;
+    szx::ByteCursor(view).ReadBytes(&header, sizeof(header));
+  }
+  std::vector<char> flipped = bytes;
+  flipped[victim_offset] = static_cast<char>(flipped[victim_offset] ^ 0x20);
+  WriteChars(damaged, flipped);
+
+  EXPECT_EQ(CliExitCode("unpack -i " + damaged + " -o " + roi_out + roi), 0);
+  const auto want = ReadFloats(roi_ref);
+  const auto got = ReadFloats(roi_out);
+  ASSERT_EQ(got.size(), 8000u);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+  // A ROI over the flipped chunk (elements [20480, 24576)) is refused.
+  EXPECT_EQ(CliExitCode("unpack -i " + damaged + " -o " + roi_out +
+                        " --first 21000 --count 10"),
+            3);
+  EXPECT_EQ(CliExitCode("query -i " + damaged), 3);
+
+  // A header claiming more directory bytes than the file holds.
+  header.directory_bytes += 1000;
+  szx::ByteBuffer forged;
+  szx::ByteWriter(forged).Write(header);
+  std::vector<char> long_bytes = bytes;
+  for (std::size_t i = 0; i < forged.size(); ++i) {
+    long_bytes[i] = static_cast<char>(forged[i]);
+  }
+  WriteChars(long_dir, long_bytes);
+  EXPECT_EQ(CliExitCode("unpack -i " + long_dir + " -o " + roi_out + roi), 3);
+  EXPECT_EQ(CliExitCode("query -i " + long_dir), 3);
+  EXPECT_EQ(CliExitCode("info -i " + long_dir), 3);
+
+  for (const std::string& p : {container, damaged, long_dir, roi_ref, roi_out}) {
+    std::remove(p.c_str());
+  }
+}
+
+// Raw input is read straight into typed storage; a size that is not a
+// whole number of elements (or of timesteps) stays a usage error.
+TEST_F(CliTest, RawInputSizeChecksStayUsageErrors) {
+  const std::string odd = TempPath("odd.f32");
+  std::vector<char> bytes = ReadChars(raw_);
+  bytes.pop_back();
+  WriteChars(odd, bytes);
+  EXPECT_EQ(CliExitCode("compress -i " + odd + " -o " + compressed_), 2);
+  EXPECT_EQ(CliExitCode("tune -i " + odd), 2);
+  EXPECT_EQ(CliExitCode("pack -o " + compressed_ + " --field a:" + odd), 2);
+  // 50000 elements do not split into 3 timesteps.
+  EXPECT_EQ(CliExitCode("pack -o " + compressed_ + " --field a:" + raw_ +
+                        " --timesteps 3"),
+            2);
+  EXPECT_EQ(CliExitCode("compress -i /nonexistent/in.f32 -o " + compressed_),
+            4);
+  EXPECT_EQ(CliExitCode("pack -o " + compressed_ +
+                        " --field a:/nonexistent/in.f32"),
+            4);
+  // Pack through per-timestep reads round-trips like a whole-file read.
+  ASSERT_EQ(CliExitCode("pack -o " + compressed_ + " --field a:" + raw_ +
+                        " --timesteps 5 -m abs -e 1e-3 --chunk 3000"),
+            0);
+  ASSERT_EQ(CliExitCode("unpack -i " + compressed_ + " -o " + recon_ +
+                        " --timestep 4"),
+            0);
+  const auto ts4 = ReadFloats(recon_);
+  ASSERT_EQ(ts4.size(), 10000u);
+  for (std::size_t i = 0; i < ts4.size(); ++i) {
+    ASSERT_NEAR(ts4[i], data_[40000 + i], 1e-3) << i;
+  }
+  std::remove(odd.c_str());
 }
 
 }  // namespace

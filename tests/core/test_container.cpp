@@ -4,11 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <mutex>
 #include <optional>
+#include <utility>
 
 #include "core/compressor.hpp"
+#include "iosim/file_source.hpp"
 #include "../test_util.hpp"
+
+#ifndef SZX_GOLDEN_DIR
+#error "SZX_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace szx {
 namespace {
@@ -257,7 +266,9 @@ TEST(Container, IntegrityChunksCarryFootersAndMixedScalesSurvive) {
   p.integrity = true;
   const ByteBuffer c = PackOneField<float>(data, 1, 1024, p);
   ContainerReader r(c);
-  const Header h = PeekHeader(r.ChunkStream(0));
+  ByteBuffer scratch;
+  const Header h = PeekHeader(r.ChunkStream(0, scratch));
+  EXPECT_TRUE(scratch.empty());  // a span source hands out views
   EXPECT_EQ(h.version, kFormatVersionIntegrity);
   const auto out = r.DecompressTimestep<float>(0, 0);
   const double bound = ResolveAbsoluteBound<float>(data, p);
@@ -300,6 +311,165 @@ TEST(Container, EmptyContainerRoundTrips) {
   ContainerReader r(c);
   EXPECT_EQ(r.num_fields(), 0u);
   EXPECT_EQ(r.num_entries(), 0u);
+}
+
+// --- Positioned-read sources ---------------------------------------------
+
+/// Span source that logs every (offset, n) it serves; safe under the
+/// concurrent reads of DecompressRange's workers.
+class CountingSource final : public ReadSource {
+ public:
+  explicit CountingSource(ByteSpan bytes) : inner_(bytes) {}
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  [[nodiscard]] ByteSpan ReadAt(std::uint64_t offset, std::size_t n,
+                                ByteBuffer& scratch) const override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      reads_.emplace_back(offset, n);
+    }
+    return inner_.ReadAt(offset, n, scratch);
+  }
+  /// The reads so far, sorted by offset; clears the log.
+  std::vector<std::pair<std::uint64_t, std::size_t>> Take() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    auto out = std::move(reads_);
+    reads_.clear();
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  SpanSource inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::pair<std::uint64_t, std::size_t>> reads_;
+};
+
+TEST(ContainerSource, RoiReadsHeaderDirectoryAndCoveredChunksOnly) {
+  const auto data = MakePattern<float>(Pattern::kNoisySine, 20000, 31);
+  const ByteBuffer c = PackOneField<float>(data, 2, 1024);
+  ContainerHeader h;
+  ByteCursor(c).ReadBytes(&h, sizeof(h));
+  CountingSource src(c);
+  const ContainerReader r(src);
+  using Reads = std::vector<std::pair<std::uint64_t, std::size_t>>;
+  EXPECT_EQ(src.Take(),
+            (Reads{{0, sizeof(ContainerHeader)},
+                   {h.directory_offset,
+                    static_cast<std::size_t>(h.directory_bytes)}}));
+  // Elements [3000, 5100) of timestep 1 lie in chunks 2..4.
+  std::vector<float> roi(2100);
+  r.DecompressRange<float>(0, 1, 3000, std::span<float>(roi), 3);
+  Reads want;
+  for (std::uint64_t chunk = 2; chunk <= 4; ++chunk) {
+    const ContainerChunkEntry& e = r.entry(r.EntryIndex(0, 1, chunk));
+    want.emplace_back(e.offset, static_cast<std::size_t>(e.bytes));
+  }
+  EXPECT_EQ(src.Take(), want);
+  // The same reader over the span decodes the same values.
+  const ContainerReader span_reader(c);
+  std::vector<float> ref(roi.size());
+  span_reader.DecompressRange<float>(0, 1, 3000, std::span<float>(ref));
+  EXPECT_EQ(roi, ref);
+}
+
+TEST(ContainerSource, ForgedDirectoryLengthIsRefusedBeforeTheRead) {
+  const auto data = MakePattern<float>(Pattern::kRamp, 4000, 32);
+  ByteBuffer c = PackOneField<float>(data, 1, 1024);
+  ContainerHeader h;
+  ByteCursor(c).ReadBytes(&h, sizeof(h));
+  h.directory_bytes += std::uint64_t{1} << 40;  // far past the source's end
+  ByteBuffer forged;
+  ByteWriter(forged).Write(h);
+  forged.insert(forged.end(),
+                c.begin() + static_cast<std::ptrdiff_t>(sizeof(h)), c.end());
+  CountingSource src(forged);
+  EXPECT_THROW(ContainerReader r(src), Error);
+  using Reads = std::vector<std::pair<std::uint64_t, std::size_t>>;
+  EXPECT_EQ(src.Take(), (Reads{{0, sizeof(ContainerHeader)}}));
+}
+
+/// Decodes [first, first + count) of (field, ts) through `r`; an Error
+/// (damaged chunk) yields nullopt so damaged goldens compare outcomes too.
+template <typename T>
+std::optional<std::vector<T>> TryRange(const ContainerReader& r,
+                                       std::uint32_t field, std::uint64_t ts,
+                                       std::uint64_t first,
+                                       std::uint64_t count, int threads) {
+  std::vector<T> out(static_cast<std::size_t>(count));
+  try {
+    r.DecompressRange<T>(field, ts, first, std::span<T>(out), threads);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+template <typename T>
+void ExpectFileMatchesSpan(const ContainerReader& file_reader,
+                           const ContainerReader& span_reader,
+                           std::uint32_t field, const std::string& name) {
+  const ContainerField& f = span_reader.field(field);
+  const std::uint64_t ce = f.chunk_elements;
+  const std::uint64_t n = f.elements_per_timestep;
+  // (first, count): the whole timestep, ROIs starting and ending on chunk
+  // edges, one straddling an edge, and the (ragged when n % ce != 0) last
+  // chunk on its own.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rois = {
+      {0, n}, {0, std::min(ce, n)}, {n - (n - 1) % ce - 1, (n - 1) % ce + 1},
+      {n - 1, 1}};
+  if (n > ce) {
+    rois.emplace_back(ce, std::min(ce, n - ce));
+    rois.emplace_back(ce - 1, 2);
+  }
+  for (std::uint64_t ts = 0; ts < f.timesteps; ++ts) {
+    for (const auto& [first, count] : rois) {
+      for (const int threads : {1, 4}) {
+        const auto a = TryRange<T>(file_reader, field, ts, first, count,
+                                   threads);
+        const auto b = TryRange<T>(span_reader, field, ts, first, count,
+                                   threads);
+        ASSERT_EQ(a.has_value(), b.has_value())
+            << name << " field " << field << " ts " << ts << " first "
+            << first << " count " << count;
+        if (a.has_value()) {
+          // Bitwise: the values may be NaN.
+          ASSERT_EQ(std::memcmp(a->data(), b->data(), a->size() * sizeof(T)),
+                    0)
+              << name << " field " << field << " ts " << ts << " first "
+              << first << " count " << count;
+        }
+      }
+    }
+  }
+}
+
+TEST(ContainerSource, FileSourceMatchesSpanOnEveryGoldenContainer) {
+  int containers = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SZX_GOLDEN_DIR)) {
+    if (entry.path().extension() != ".szx3") continue;
+    ++containers;
+    const std::string path = entry.path().string();
+    const iosim::FileSource file(path);
+    ByteBuffer bytes(static_cast<std::size_t>(file.size()));
+    file.ReadInto(0, bytes);
+    const ContainerReader file_reader(file);
+    const ContainerReader span_reader(bytes);
+    ASSERT_EQ(file_reader.num_fields(), span_reader.num_fields()) << path;
+    ASSERT_EQ(file_reader.num_entries(), span_reader.num_entries()) << path;
+    for (std::uint64_t e = 0; e < span_reader.num_entries(); ++e) {
+      EXPECT_EQ(file_reader.VerifyChunk(e), span_reader.VerifyChunk(e))
+          << path << " entry " << e;
+    }
+    for (std::uint32_t i = 0; i < span_reader.num_fields(); ++i) {
+      if (span_reader.field(i).dtype == DataType::kFloat32) {
+        ExpectFileMatchesSpan<float>(file_reader, span_reader, i, path);
+      } else {
+        ExpectFileMatchesSpan<double>(file_reader, span_reader, i, path);
+      }
+    }
+  }
+  EXPECT_GE(containers, 5);  // three clean goldens + two damaged cases
 }
 
 }  // namespace

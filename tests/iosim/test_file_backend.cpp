@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "core/common.hpp"
+#include "iosim/file_source.hpp"
 #include "iosim/pfs_sim.hpp"
 
 namespace szx::iosim {
@@ -330,6 +332,120 @@ TEST_F(FileBackendTest, RestoredRawOpsUseTheRealFileAgain) {
   in.set_raw_read(RawReadOp{});
   std::vector<std::byte> second(payload.size());
   EXPECT_EQ(in.ReadChunk(second), 0u);
+}
+
+// --- PreadFull and FileSource: the positioned-read loop on its own --------
+//
+// fd -1 proves the scripted op is the only thing read: a real pread on it
+// would fail with EBADF.
+
+TEST(PreadFull, ShortReadsResumeByteExactly) {
+  const auto image = Pattern(4'096, 21);
+  int calls = 0;
+  const RawReadOp raw = ScriptedRead(image, 100, {}, &calls);
+  std::vector<std::byte> out(1'000);
+  FileIoStats stats;
+  ASSERT_EQ(PreadFull(-1, out, 1'500, raw, &stats, "image"), out.size());
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), image.begin() + 1'500));
+  EXPECT_EQ(calls, 10);
+  EXPECT_EQ(stats.short_ios, 9u);
+}
+
+TEST(PreadFull, EintrIsRetriedAtTheSameOffset) {
+  const auto image = Pattern(900, 22);
+  int calls = 0;
+  const RawReadOp raw = ScriptedRead(image, 300, {1, 2, 4}, &calls);
+  std::vector<std::byte> out(image.size());
+  FileIoStats stats;
+  ASSERT_EQ(PreadFull(-1, out, 0, raw, &stats, "image"), out.size());
+  EXPECT_EQ(out, image);
+  EXPECT_EQ(stats.eintr_retries, 3u);
+  // Stats are optional.
+  calls = 0;
+  std::vector<std::byte> again(image.size());
+  ASSERT_EQ(PreadFull(-1, again, 0, raw, nullptr, "image"), again.size());
+  EXPECT_EQ(again, image);
+}
+
+TEST(PreadFull, StuckEintrErrorsOut) {
+  int calls = 0;
+  const RawReadOp raw = [&calls](std::byte*, std::size_t, std::uint64_t,
+                                 int& err) -> long long {
+    ++calls;
+    err = EINTR;
+    return -1;
+  };
+  std::vector<std::byte> out(64);
+  EXPECT_THROW((void)PreadFull(-1, out, 0, raw, nullptr, "image"),
+               std::runtime_error);
+  EXPECT_GT(calls, 1);
+  EXPECT_LT(calls, 1'000);  // bounded: an error, not a livelock
+}
+
+TEST(PreadFull, EndOfFileReturnsTheBytesThatExist) {
+  const auto image = Pattern(500, 23);
+  int calls = 0;
+  const RawReadOp raw = ScriptedRead(image, 128, {}, &calls);
+  std::vector<std::byte> out(300);
+  ASSERT_EQ(PreadFull(-1, out, 400, raw, nullptr, "image"), 100u);
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + 100, image.begin() + 400));
+}
+
+TEST_F(FileBackendTest, FileSourceReadsRangesAndRefusesPartialSpans) {
+  const auto path = Path("source");
+  const auto payload = Pattern(2'000, 24);
+  {
+    ChunkFileWriter out(path);
+    out.WriteChunk(payload);
+    out.Close();
+  }
+  FileSource src(path);
+  ASSERT_EQ(src.size(), payload.size());
+  ByteBuffer scratch;
+  const ByteSpan mid = src.ReadAt(700, 600, scratch);
+  ASSERT_EQ(mid.size(), 600u);
+  EXPECT_TRUE(std::equal(mid.begin(), mid.end(), payload.begin() + 700));
+  // Past the recorded size: refused before any read.
+  EXPECT_THROW((void)src.ReadAt(1'900, 101, scratch), Error);
+  EXPECT_THROW((void)src.ReadAt(UINT64_MAX, 1, scratch), Error);
+
+  // Short reads and EINTR through the injected op still deliver every byte.
+  int calls = 0;
+  src.set_raw_read(ScriptedRead(payload, 64, {2, 5}, &calls));
+  const ByteSpan all = src.ReadAt(0, payload.size(), scratch);
+  EXPECT_TRUE(std::equal(all.begin(), all.end(), payload.begin()));
+
+  // The file "shrinks" to 1000 bytes after open: end of file before n bytes
+  // is an error, never a partial span.
+  const std::vector<std::byte> shrunk(payload.begin(), payload.begin() + 1'000);
+  calls = 0;
+  src.set_raw_read(ScriptedRead(shrunk, 4'096, {}, &calls));
+  EXPECT_THROW((void)src.ReadAt(900, 200, scratch), Error);
+  std::vector<std::byte> typed(200);
+  EXPECT_THROW(src.ReadInto(900, typed), Error);
+
+  // A hard syscall error is an I/O fault (std::runtime_error, not the
+  // corruption-class szx::Error).
+  src.set_raw_read([](std::byte*, std::size_t, std::uint64_t,
+                      int& err) -> long long {
+    err = EIO;
+    return -1;
+  });
+  try {
+    (void)src.ReadAt(0, 10, scratch);
+    ADD_FAILURE() << "EIO did not throw";
+  } catch (const Error&) {
+    ADD_FAILURE() << "EIO surfaced as corruption";
+  } catch (const std::runtime_error&) {
+  }
+  src.set_raw_read(RawReadOp{});
+  const ByteSpan head = src.ReadAt(0, 16, scratch);
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), payload.begin()));
+}
+
+TEST(FileSource, MissingFileThrowsRuntimeError) {
+  EXPECT_THROW(FileSource("/nonexistent/szx_file_source.bin"),
+               std::runtime_error);
 }
 
 // --- Overlap makespan model (SimulatePipelinedDump) -----------------------

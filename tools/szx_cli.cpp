@@ -18,6 +18,7 @@
 //                      [--integrity] [--threads N]
 //   szx_cli unpack     -i in.szx3 -o out.f32 --field NAME [--timestep T]
 //                      [--first N --count N] [--threads N]
+//                      (reads the header, directory and covered chunks only)
 //   szx_cli query      -i in.szx3 [--json]   (directory + chunk checksums)
 //   szx_cli client     --port P [--host H] --op ping|compress|decompress|
 //                      salvage|query [-i IN] [-o OUT] [--deadline MS]
@@ -51,6 +52,7 @@
 #include "core/tuning.hpp"
 #include "core/validate.hpp"
 #include "hybrid/hybrid.hpp"
+#include "iosim/file_source.hpp"
 #include "metrics/metrics.hpp"
 #include "resilience/salvage.hpp"
 #include "serve/client.hpp"
@@ -61,7 +63,8 @@ namespace {
 using namespace szx;
 
 // File-system failures are distinct from stream corruption in the exit-code
-// contract; ReadFile/WriteFile throw this and main maps it to exit 4.
+// contract; WriteFile throws this and main maps it to exit 4, as it does the
+// std::runtime_error iosim::FileSource throws on a failed open or read.
 struct IoError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -101,15 +104,23 @@ struct IoError : std::runtime_error {
 }
 
 ByteBuffer ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw IoError("cannot open " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  ByteBuffer buf(static_cast<std::size_t>(size));
-  // szx-lint: allow(reinterpret-cast) -- ifstream::read requires char*; this is the file-I/O boundary
-  in.read(reinterpret_cast<char*>(buf.data()), size);
-  if (!in) throw IoError("cannot read " + path);
+  const iosim::FileSource file(path);
+  ByteBuffer buf(CheckedNarrow<std::size_t>(file.size()));
+  file.ReadInto(0, buf);
   return buf;
+}
+
+// Reads a raw input file straight into typed storage: one copy of the data
+// in memory, not a byte buffer plus a typed one.
+template <typename T>
+std::vector<T> ReadFileAs(const std::string& path) {
+  const iosim::FileSource file(path);
+  if (file.size() % sizeof(T) != 0) {
+    Usage("input size is not a multiple of the element size");
+  }
+  std::vector<T> data(CheckedNarrow<std::size_t>(file.size() / sizeof(T)));
+  file.ReadInto(0, std::as_writable_bytes(std::span<T>(data)));
+  return data;
 }
 
 void WriteFile(const std::string& path, const void* data, std::size_t size) {
@@ -302,12 +313,7 @@ void ApplyKernelChoice(const Args& a) {
 
 template <typename T>
 int DoCompress(const Args& a) {
-  const ByteBuffer raw = ReadFile(a.input);
-  if (raw.size() % sizeof(T) != 0) {
-    Usage("input size is not a multiple of the element size");
-  }
-  std::vector<T> data(raw.size() / sizeof(T));
-  ByteCursor(raw).ReadSpan(std::span<T>(data));
+  const std::vector<T> data = ReadFileAs<T>(a.input);
   Params p;
   p.mode = a.Mode();
   p.error_bound = a.error_bound;
@@ -326,7 +332,8 @@ int DoCompress(const Args& a) {
   }
   WriteFile(a.output, stream.data(), stream.size());
   std::printf("%zu -> %zu bytes (ratio %.3f), %llu/%llu constant blocks\n",
-              raw.size(), stream.size(), stats.CompressionRatio(sizeof(T)),
+              data.size() * sizeof(T), stream.size(),
+              stats.CompressionRatio(sizeof(T)),
               static_cast<unsigned long long>(stats.num_constant_blocks),
               static_cast<unsigned long long>(stats.num_blocks));
   return 0;
@@ -352,14 +359,20 @@ int DoDecompress(const Args& a) {
   return 0;
 }
 
-int DoQuery(const Args& a);
+int DoQuery(const Args& a, const ReadSource& file);
 
 int DoInfo(const Args& a) {
-  ByteBuffer stream = ReadFile(a.input);
-  if (IsContainer(stream)) {
-    // Format-v3 container: info degrades to the query summary.
-    return DoQuery(a);
+  {
+    // Sniff the magic by position: a format-v3 container degrades to the
+    // query summary without reading the file twice.
+    const iosim::FileSource file(a.input);
+    ByteBuffer magic;
+    if (file.size() >= kContainerMagic.size() &&
+        IsContainer(file.ReadAt(0, kContainerMagic.size(), magic))) {
+      return DoQuery(a, file);
+    }
   }
+  ByteBuffer stream = ReadFile(a.input);
   if (hybrid::IsHybridStream(stream)) {
     std::printf("hybrid wrapper (SZx + lossless stage)\n");
     stream = hybrid::Unwrap(stream);
@@ -386,12 +399,7 @@ int DoInfo(const Args& a) {
 
 template <typename T>
 int DoTune(const Args& a) {
-  const ByteBuffer raw = ReadFile(a.input);
-  if (raw.size() % sizeof(T) != 0) {
-    Usage("input size is not a multiple of the element size");
-  }
-  std::vector<T> data(raw.size() / sizeof(T));
-  ByteCursor(raw).ReadSpan(std::span<T>(data));
+  const std::vector<T> data = ReadFileAs<T>(a.input);
   Params p;
   p.mode = a.Mode();
   p.error_bound = a.error_bound;
@@ -513,13 +521,17 @@ PackField ParsePackField(const std::string& spec, const std::string& dt) {
   return f;
 }
 
+// Reads each timestep's byte range straight into one reused buffer, so a
+// field file is never in memory whole.
 template <typename T>
-void PackAppend(ContainerWriter& w, std::uint32_t id, const ByteBuffer& raw,
-                std::uint64_t timesteps, std::uint64_t ept, int threads) {
-  std::vector<T> data(static_cast<std::size_t>(ept));
-  ByteCursor cur(raw);
+void PackAppend(ContainerWriter& w, std::uint32_t id,
+                const iosim::FileSource& file, std::uint64_t timesteps,
+                std::uint64_t ept, int threads) {
+  std::vector<T> data(CheckedNarrow<std::size_t>(ept));
+  const std::span<std::byte> bytes =
+      std::as_writable_bytes(std::span<T>(data));
   for (std::uint64_t t = 0; t < timesteps; ++t) {
-    cur.ReadSpan(std::span<T>(data));
+    file.ReadInto(t * bytes.size(), bytes);
     w.AppendTimestep<T>(id, data, threads);
   }
 }
@@ -530,12 +542,12 @@ int DoPack(const Args& a) {
     const PackField f = ParsePackField(spec, a.dtype);
     const std::size_t elem =
         f.dtype == DataType::kFloat32 ? sizeof(float) : sizeof(double);
-    const ByteBuffer raw = ReadFile(f.path);
-    if (raw.size() % elem != 0) {
+    const iosim::FileSource file(f.path);
+    if (file.size() % elem != 0) {
       Usage((f.path + ": size is not a multiple of the element size")
                 .c_str());
     }
-    const std::uint64_t total = raw.size() / elem;
+    const std::uint64_t total = file.size() / elem;
     if (total == 0 || total % a.timesteps != 0) {
       Usage((f.path + ": element count does not split into --timesteps")
                 .c_str());
@@ -551,9 +563,9 @@ int DoPack(const Args& a) {
     spec_out.chunk_elements = a.chunk;
     const std::uint32_t id = w.AddField(spec_out, f.dtype);
     if (f.dtype == DataType::kFloat32) {
-      PackAppend<float>(w, id, raw, a.timesteps, ept, a.threads);
+      PackAppend<float>(w, id, file, a.timesteps, ept, a.threads);
     } else {
-      PackAppend<double>(w, id, raw, a.timesteps, ept, a.threads);
+      PackAppend<double>(w, id, file, a.timesteps, ept, a.threads);
     }
   }
   const ByteBuffer out = w.Finish();
@@ -583,9 +595,11 @@ int DoUnpackField(const Args& a, const ContainerReader& r,
   return 0;
 }
 
+// Reads the header, the directory and the chunks the ROI covers, nothing
+// else: damage outside the ROI goes unseen here (query reports it).
 int DoUnpack(const Args& a) {
-  const ByteBuffer bytes = ReadFile(a.input);
-  const ContainerReader r(bytes);
+  const iosim::FileSource file(a.input);
+  const ContainerReader r(file);
   std::uint32_t field = 0;
   if (!a.fields.empty()) {
     const auto found = r.FindField(a.fields.front());
@@ -604,14 +618,19 @@ int DoUnpack(const Args& a) {
              : DoUnpackField<double>(a, r, field);
 }
 
-int DoQuery(const Args& a) {
-  const ByteBuffer bytes = ReadFile(a.input);
-  const ContainerReader r(bytes);
+int DoQuery(const Args& a, const ReadSource& file) {
+  const ContainerReader r(file);
   // Checksum every chunk so damage shows up in the directory listing (and
-  // in the exit code) without decoding anything.
+  // in the exit code) without decoding anything.  Each worker reads one
+  // chunk at a time into its own scratch, so memory stays at the directory
+  // plus a chunk per worker; the list keeps entry order.
+  std::vector<std::uint8_t> ok(CheckedNarrow<std::size_t>(r.num_entries()));
+  exec::ParallelFor(r.num_entries(), a.threads, [&](std::uint64_t e) {
+    ok[CheckedNarrow<std::size_t>(e)] = r.VerifyChunk(e) ? 1 : 0;
+  });
   std::vector<std::uint64_t> damaged;
   for (std::uint64_t e = 0; e < r.num_entries(); ++e) {
-    if (!r.VerifyChunk(e)) damaged.push_back(e);
+    if (ok[CheckedNarrow<std::size_t>(e)] == 0) damaged.push_back(e);
   }
   if (a.json) {
     std::string os = "{\"fields\":[";
@@ -871,7 +890,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "query") {
       if (a.input.empty()) Usage("-i required");
-      return DoQuery(a);
+      return DoQuery(a, iosim::FileSource(a.input));
     }
     if (cmd == "validate") {
       if (a.input.empty()) Usage("-i required");
@@ -888,5 +907,10 @@ int main(int argc, char** argv) {
   } catch (const Error& e) {
     std::fprintf(stderr, "szx error: %s\n", e.what());
     return 3;
+  } catch (const std::runtime_error& e) {
+    // Failed open/stat/pread from iosim::FileSource (szx::Error, the
+    // corruption class, is caught above).
+    std::fprintf(stderr, "szx io error: %s\n", e.what());
+    return 4;
   }
 }
