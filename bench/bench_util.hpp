@@ -111,19 +111,19 @@ enum class Codec { kSzx, kSzxOmp, kSz, kSz2, kSzOmp, kZfp, kZfpOmp, kLz };
 inline const char* CodecName(Codec c) {
   switch (c) {
     case Codec::kSzx: return "SZx";
-    case Codec::kSzxOmp: return "omp-SZx";
+    case Codec::kSzxOmp: return "executor-SZx";
     case Codec::kSz: return "SZ";
     case Codec::kSz2: return "SZ2.1";
-    case Codec::kSzOmp: return "omp-SZ";
+    case Codec::kSzOmp: return "executor-SZ";
     case Codec::kZfp: return "ZFP";
-    case Codec::kZfpOmp: return "omp-ZFP";
+    case Codec::kZfpOmp: return "executor-ZFP";
     case Codec::kLz: return "zstd-like";
   }
   return "?";
 }
 
 /// Runs one codec on one field at a value-range-relative bound and measures
-/// timing/ratio/quality.  `threads` applies to the OpenMP variants.
+/// timing/ratio/quality.  `threads` applies to the chunk-parallel variants.
 inline CodecResult MeasureCodec(Codec codec, const data::Field& f,
                                 double rel_eb, int threads = 0) {
   const int reps = BenchReps();

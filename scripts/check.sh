@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full local verification battery (docs/static-analysis.md):
-#   1. release build with warnings-as-errors, then tier1 + conformance +
-#      executor (work-stealing pool battery + golden determinism matrix
-#      across SZX_EXECUTOR x SZX_KERNEL x threads, docs/performance.md) +
+#   1. release build with warnings-as-errors, then tier1 + conformance
+#      (golden determinism matrix across SZX_KERNEL x SZX_THREADS) +
+#      executor (work-stealing pool battery, cancellation, streaming and
+#      pipeline determinism, docs/performance.md) +
 #      container (format-v3 seekable container + decoded-chunk cache +
-#      container salvage + golden containers across SZX_EXECUTOR x threads,
+#      container salvage + golden containers across SZX_THREADS,
 #      docs/FORMAT.md "Format v3") +
 #      fuzz-smoke (stream corruption campaign + salvage-fuzz stacked-fault
 #      smoke, docs/resilience.md) + bench-smoke (codec grid, omp
@@ -21,8 +22,8 @@
 #      skipped loudly when clang++ is not installed (GCC compiles the
 #      annotations as no-ops)
 #   3. asan-ubsan build, then every tier under ASan/UBSan
-#   4. tsan build, then the OMP/pool-executor/cusim suites plus the
-#      baseline codecs (parallel chunked-Huffman decode at SZX_THREADS=4)
+#   4. tsan build, then the pool-executor/parallel-codec/cusim suites plus
+#      the baseline codecs (parallel chunked-Huffman decode at SZX_THREADS=4)
 #      and the container tier's concurrent pieces (decoded-chunk LRU cache
 #      property battery, container salvage) under ThreadSanitizer
 # Each stage stops the script on failure.  Expect the sanitizer stages to
@@ -33,7 +34,7 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
-echo "=== release build (Werror) + tier1/conformance/serve/fuzz-smoke/bench-smoke/lint/analysis ==="
+echo "=== release build (Werror) + tier1/conformance/executor/container/serve/fuzz-smoke/bench-smoke/lint/analysis ==="
 cmake --preset release
 cmake --build --preset release -j "$(nproc)"
 ctest --preset tier1
@@ -80,7 +81,7 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)"
 ctest --preset asan-all
 
-echo "=== tsan build + OMP/pool-executor/cusim suites under ThreadSanitizer ==="
+echo "=== tsan build + pool-executor/parallel-codec/cusim suites under ThreadSanitizer ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
   --target test_omp_codec test_cusim test_kernel_harness test_kernels \

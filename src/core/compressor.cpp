@@ -4,11 +4,10 @@
 #include <cmath>
 
 #include "core/block_plan.hpp"
+#include "core/block_range.hpp"
 #include "core/block_stats.hpp"
-#include "core/encode.hpp"
 #include "core/frame_index.hpp"
 #include "core/integrity.hpp"
-#include "core/kernels/kernels.hpp"
 
 namespace szx {
 
@@ -42,8 +41,6 @@ double ResolveAbsoluteBound(std::span<const T> data, const Params& params) {
 template <SupportedFloat T>
 ByteSpan CompressInto(std::span<const T> data, const Params& params,
                       ScratchArena& arena, CompressionStats* stats) {
-  params.Validate();
-  arena.Reset();  // invalidates anything the caller kept from the last call
   const double abs_bound = ResolveAbsoluteBound(data, params);
   const std::uint64_t n = data.size();
   const std::uint32_t bs = params.block_size;
@@ -52,61 +49,16 @@ ByteSpan CompressInto(std::span<const T> data, const Params& params,
                           ? kLosslessEbExpo
                           : BoundExponent(abs_bound);
 
-  // Section scratch, sized to the block plan's exact worst case (every
-  // block non-constant, every payload at its cap) instead of the old
-  // guess-heuristics, so no section ever reallocates mid-compression.
-  const std::size_t nb = static_cast<std::size_t>(num_blocks);
-  const std::span<std::byte> type_bits =
-      arena.AllocateSpan<std::byte>((nb + 7) / 8);
-  std::fill(type_bits.begin(), type_bits.end(), std::byte{0});
-  const std::span<std::byte> const_mu =
-      arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  const std::span<std::byte> ncb_req = arena.AllocateSpan<std::byte>(nb);
-  const std::span<std::byte> ncb_mu =
-      arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  const std::span<std::byte> ncb_zsize = arena.AllocateSpan<std::byte>(nb * 2);
-  const std::span<std::byte> payload = arena.AllocateSpan<std::byte>(
-      kernels::FramePayloadCapacity(num_blocks, bs, data.size_bytes()));
-
-  using Bits = typename FloatTraits<T>::Bits;
-  std::uint64_t num_constant = 0;
-  std::uint64_t num_lossless = 0;
-  std::size_t const_mu_n = 0;  // live bytes in const_mu
-  std::size_t ncb_n = 0;       // non-constant blocks emitted
-  std::size_t payload_n = 0;   // live bytes in payload
-
-  for (std::uint64_t k = 0; k < num_blocks; ++k) {
-    const std::uint64_t begin = k * bs;
-    const std::uint64_t count = std::min<std::uint64_t>(bs, n - begin);
-    const std::span<const T> block = data.subspan(begin, count);
-    const BlockStats<T> st = ComputeBlockStats(block);
-    const BlockDecision<T> d = DecideBlock(block, st, params.mode,
-                                           params.error_bound, abs_bound,
-                                           eb_expo);
-    if (d.is_constant) {
-      // Constant block: mu represents every value within the bound.
-      ++num_constant;
-      // szx-lint: allow(ptr-arith) -- cursor into the const_mu span allocated at num_blocks*sizeof(T) above; advances sizeof(T) per constant block
-      StoreWord<Bits>(const_mu.data() + const_mu_n, std::bit_cast<Bits>(d.mu));
-      const_mu_n += sizeof(T);
-      continue;
-    }
-    SetNonConstant(type_bits.data(), k);
-    if (d.is_lossless) ++num_lossless;
-    ncb_req[ncb_n] = std::byte{d.plan.req_length};
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_mu span allocated at num_blocks*sizeof(T) above; ncb_n < num_blocks
-    StoreWord<Bits>(ncb_mu.data() + ncb_n * sizeof(T),
-                    std::bit_cast<Bits>(d.mu));
-    // szx-lint: allow(ptr-arith) -- cursor into the payload span allocated at FramePayloadCapacity above; zsize stays within each block's share
-    std::byte* const block_dst = payload.data() + payload_n;
-    const std::size_t zsize =
-        EncodeBlockInto(params.solution, block, d.mu, d.plan, block_dst);
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_zsize span allocated at num_blocks*2 above; ncb_n < num_blocks
-    StoreWord<std::uint16_t>(ncb_zsize.data() + ncb_n * 2,
-                             CheckedNarrow<std::uint16_t>(zsize));
-    payload_n += zsize;
-    ++ncb_n;
-  }
+  // One range over every block.  This resets the arena, invalidating
+  // anything the caller kept from the last call; the frame below is carved
+  // from the same arena after the section fragments.
+  SectionFragment<T> f;
+  CompressBlockRange(data, params, abs_bound, eb_expo, 0, num_blocks, arena,
+                     f);
+  const std::uint64_t num_constant = f.num_constant;
+  const std::size_t const_mu_n = f.const_mu_n;
+  const std::size_t ncb_n = f.ncb_n;
+  const std::size_t payload_n = f.payload_n;
 
   Header h;
   h.dtype = static_cast<std::uint8_t>(FloatTraits<T>::kTag);
@@ -120,7 +72,7 @@ ByteSpan CompressInto(std::span<const T> data, const Params& params,
   h.num_constant = num_constant;
   h.payload_bytes = payload_n;
 
-  const std::size_t total = sizeof(Header) + type_bits.size() + const_mu_n +
+  const std::size_t total = sizeof(Header) + f.type_bits.size() + const_mu_n +
                             ncb_n + ncb_n * sizeof(T) + ncb_n * 2 + payload_n;
 
   // The raw-passthrough decision compares the v1 body sizes only, so an
@@ -157,12 +109,12 @@ ByteSpan CompressInto(std::span<const T> data, const Params& params,
     std::byte* at = body.data();
     StoreWord<Header>(at, h);
     at += sizeof(Header);
-    at = std::copy_n(type_bits.data(), type_bits.size(), at);
-    at = std::copy_n(const_mu.data(), const_mu_n, at);
-    at = std::copy_n(ncb_req.data(), ncb_n, at);
-    at = std::copy_n(ncb_mu.data(), ncb_n * sizeof(T), at);
-    at = std::copy_n(ncb_zsize.data(), ncb_n * 2, at);
-    std::copy_n(payload.data(), payload_n, at);
+    at = std::copy_n(f.type_bits.data(), f.type_bits.size(), at);
+    at = std::copy_n(f.const_mu.data(), const_mu_n, at);
+    at = std::copy_n(f.ncb_req.data(), ncb_n, at);
+    at = std::copy_n(f.ncb_mu.data(), ncb_n * sizeof(T), at);
+    at = std::copy_n(f.ncb_zsize.data(), ncb_n * 2, at);
+    std::copy_n(f.payload.data(), payload_n, at);
   }
   if (params.integrity) {
     // Upgrade the body to v2 in place, then checksum it into the footer.
@@ -178,7 +130,7 @@ ByteSpan CompressInto(std::span<const T> data, const Params& params,
     stats->num_elements = n;
     stats->num_blocks = num_blocks;
     stats->num_constant_blocks = num_constant;
-    stats->num_lossless_blocks = num_lossless;
+    stats->num_lossless_blocks = f.num_lossless;
     stats->payload_bytes = payload_n;
     stats->compressed_bytes = out.size();
     stats->absolute_bound = abs_bound;

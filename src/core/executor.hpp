@@ -1,8 +1,9 @@
 // Persistent work-stealing executor -- the parallel substrate behind every
-// multi-threaded codec path (omp_codec.cpp, resilience/salvage.cpp, the
-// streaming reader, and the double-buffered pipeline in core/pipeline.hpp).
+// multi-threaded codec path (omp_codec.cpp, the baseline codecs'
+// chunk-parallel variants, resilience/salvage.cpp, the streaming reader, and
+// the double-buffered pipeline in core/pipeline.hpp).
 //
-// Why not fork-join: every OpenMP `parallel for` pays thread wake-up and a
+// Why not fork-join: a fork-join `parallel for` pays thread wake-up and a
 // region-end barrier per call, which dominates small frames and makes
 // compute/I-O overlap impossible (a region cannot outlive its call).  The
 // Executor keeps its workers alive across jobs: submission pushes work into
@@ -11,12 +12,9 @@
 // steady-state submission performs no heap allocation (asserted by
 // tests/core/test_executor.cpp with a counting allocator).
 //
-// Backend selection: the legacy OpenMP fork-join path remains available for
-// differential testing via SZX_EXECUTOR=omp|pool (default: pool; `omp`
-// falls back to pool when the build has no OpenMP).  The correctness
-// contract -- enforced by the `executor` CTest tier across the full
-// SZX_EXECUTOR x SZX_KERNEL x thread-count matrix -- is that every stream
-// is byte-identical to serial output for any backend and any thread count.
+// The correctness contract -- enforced by the conformance and container
+// CTest tiers across the SZX_KERNEL x SZX_THREADS matrix -- is that every
+// stream is byte-identical to serial output for any thread count.
 //
 // Concurrency model (see docs/performance.md for the full design):
 //   - One Batch = one submission of n independent tasks fn(ctx, 0..n-1),
@@ -58,28 +56,8 @@
 
 namespace szx::exec {
 
-/// Which substrate runs parallel regions.  kOmp keeps the historical
-/// OpenMP fork-join (differential baseline); kPool uses the persistent
-/// work-stealing Executor below.
-enum class Backend : std::uint8_t { kOmp = 0, kPool = 1 };
-
-const char* BackendName(Backend b);
-
-/// True when the build has OpenMP (SZX_EXECUTOR=omp is honored).
-[[nodiscard]] bool OmpAvailable();
-
-/// Process-wide backend, resolved once from SZX_EXECUTOR=omp|pool (default
-/// pool, with a stderr warning for unknown values; omp falls back to pool
-/// when unavailable).  Mirrors kernels::ActiveKind's lazy-select contract.
-[[nodiscard]] Backend ActiveBackend();
-
-/// Overrides the backend at runtime (bench/tests); returns what was
-/// actually installed (omp degrades to pool without OpenMP support).
-Backend SetActiveBackend(Backend b);
-
 /// Thread count used when a caller passes num_threads <= 0: SZX_THREADS if
-/// set, else the OpenMP default (which honors OMP_NUM_THREADS), else
-/// OMP_NUM_THREADS parsed directly, else std::thread::hardware_concurrency.
+/// set, else std::thread::hardware_concurrency.
 [[nodiscard]] int DefaultThreads();
 
 /// requested > 0 ? requested : DefaultThreads().
@@ -170,8 +148,7 @@ class Executor {
   /// nothing and only burns memory).
   static constexpr int kMaxWorkers = 64;
 
-  /// workers <= 0 picks SZX_POOL_WORKERS if set, else DefaultThreads(),
-  /// clamped to [1, kMaxWorkers].
+  /// workers <= 0 picks DefaultThreads(); clamped to [1, kMaxWorkers].
   explicit Executor(int workers = 0);
 
   /// Graceful: drains every queued slice, then joins all workers.  Must not
@@ -283,11 +260,10 @@ class Executor {
   bool stop_ SZX_GUARDED_BY(m_) = false;
 };
 
-/// Backend-dispatched parallel loop: runs fn(ctx, i) for i in [0, n)
-/// exactly once each, on the active backend, with at most max_threads-wide
-/// parallelism on the OMP backend (the pool runs n tasks across however
-/// many workers exist -- callers control granularity via n).  max_threads
-/// <= 0 resolves via DefaultThreads(); n <= 1 or 1 thread runs inline.
+/// Parallel loop on the default Executor: runs fn(ctx, i) for i in [0, n)
+/// exactly once each (the pool runs n tasks across however many workers
+/// exist -- callers control granularity via n).  max_threads <= 0 resolves
+/// via DefaultThreads(); n <= 1 or 1 thread runs inline.
 /// Every task runs even if one throws; the first exception is rethrown.
 ///
 /// Cancellation: when the calling thread carries a CancelToken (ScopedCancel

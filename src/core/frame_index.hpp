@@ -174,10 +174,10 @@ inline void DecodeBlockBySolution(CommitSolution sol, ByteSpan payload, T mu,
 }  // namespace detail
 
 /// Decodes every block of one chunk into its slice of `out` — the decode
-/// core shared by the serial and OpenMP paths (and, via them, the streaming
-/// reader).  The per-block overflow checks stay even though the builder
-/// validated the global totals: a directory can be internally consistent
-/// and still disagree with the type bits block by block.
+/// core shared by the serial and chunk-parallel paths (and, via them, the
+/// streaming reader).  The per-block overflow checks stay even though the
+/// builder validated the global totals: a directory can be internally
+/// consistent and still disagree with the type bits block by block.
 template <SupportedFloat T>
 inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
                             const ChunkRef& c, std::span<T> out) {

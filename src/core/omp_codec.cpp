@@ -1,24 +1,20 @@
 // Chunk-parallel encoder/decoder.  Parallelism is delegated to the
-// exec::ParallelFor facade (work-stealing pool by default, OpenMP fork-join
-// via SZX_EXECUTOR=omp for differential testing); the facade owns the
-// TSan-visible publish/acquire discipline and the exception latch, so the
-// chunk loops below are plain lambdas.  The historical entry points keep
-// their *Omp names: they are the chunk-parallel API regardless of backend,
-// and every byte they produce is identical to the serial codec for any
-// chunk count (fragments are contiguous block ranges stitched at offsets
-// fixed by exclusive prefix sums).
+// exec::ParallelFor facade over the work-stealing pool; the facade owns the
+// exception latch, so the chunk loops below are plain lambdas.  The entry
+// points keep the paper's *Omp names, and every byte they produce is
+// identical to the serial codec for any chunk count (fragments are
+// contiguous block ranges from the shared range encoder, stitched at
+// offsets fixed by exclusive prefix sums).
 #include "core/omp_codec.hpp"
 
 #include <algorithm>
 
 #include "core/arena.hpp"
 #include "core/block_plan.hpp"
-#include "core/block_stats.hpp"
-#include "core/encode.hpp"
+#include "core/block_range.hpp"
 #include "core/executor.hpp"
 #include "core/frame_index.hpp"
 #include "core/integrity.hpp"
-#include "core/kernels/kernels.hpp"
 
 namespace szx {
 
@@ -38,85 +34,6 @@ std::vector<std::uint64_t> PrefixSumZsizes(ByteSpan zsize_section,
 }
 
 namespace {
-
-// Private per-chunk section fragments, viewing per-chunk arena memory.
-// Sections are capacity spans; the *_n cursors track the live prefixes.
-template <SupportedFloat T>
-struct SectionFragment {
-  std::span<std::byte> type_bits;
-  std::span<std::byte> const_mu;
-  std::span<std::byte> ncb_req;
-  std::span<std::byte> ncb_mu;
-  std::span<std::byte> ncb_zsize;
-  std::span<std::byte> payload;
-  std::size_t const_mu_n = 0;
-  std::size_t ncb_n = 0;
-  std::size_t payload_n = 0;
-  std::uint64_t num_constant = 0;
-  std::uint64_t num_lossless = 0;
-};
-
-// Compresses blocks [first, last) into a fragment carved from `arena`.
-// `first` must be a multiple of 8 so the fragment's type bits start on a
-// byte boundary.  The arena is reset at entry and sized to the chunk's
-// worst case up front, so steady-state calls never touch the heap; each
-// chunk's arena is used by exactly one thread per parallel region.
-template <SupportedFloat T>
-void CompressBlockRange(std::span<const T> data, const Params& params,
-                        double abs_bound, int eb_expo, std::uint64_t first,
-                        std::uint64_t last, ScratchArena& arena,
-                        SectionFragment<T>& frag) {
-  using Bits = typename FloatTraits<T>::Bits;
-  arena.Reset();
-  const std::uint32_t bs = params.block_size;
-  const std::uint64_t n = data.size();
-  const std::size_t nb = static_cast<std::size_t>(last - first);
-  const std::uint64_t elem_end = std::min<std::uint64_t>(n, last * bs);
-  const std::size_t chunk_bytes =
-      static_cast<std::size_t>(elem_end - first * bs) * sizeof(T);
-  frag = SectionFragment<T>{};
-  frag.type_bits = arena.AllocateSpan<std::byte>((nb + 7) / 8);
-  std::fill(frag.type_bits.begin(), frag.type_bits.end(), std::byte{0});
-  frag.const_mu = arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  frag.ncb_req = arena.AllocateSpan<std::byte>(nb);
-  frag.ncb_mu = arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  frag.ncb_zsize = arena.AllocateSpan<std::byte>(nb * 2);
-  frag.payload = arena.AllocateSpan<std::byte>(
-      kernels::FramePayloadCapacity(nb, bs, chunk_bytes));
-
-  for (std::uint64_t k = first; k < last; ++k) {
-    const std::uint64_t begin = k * bs;
-    const std::uint64_t count = std::min<std::uint64_t>(bs, n - begin);
-    const std::span<const T> block = data.subspan(begin, count);
-    const BlockStats<T> st = ComputeBlockStats(block);
-    const BlockDecision<T> d = DecideBlock(block, st, params.mode,
-                                           params.error_bound, abs_bound,
-                                           eb_expo);
-    if (d.is_constant) {
-      ++frag.num_constant;
-      // szx-lint: allow(ptr-arith) -- cursor into the const_mu span allocated at nb*sizeof(T) above; advances sizeof(T) per constant block
-      StoreWord<Bits>(frag.const_mu.data() + frag.const_mu_n,
-                      std::bit_cast<Bits>(d.mu));
-      frag.const_mu_n += sizeof(T);
-      continue;
-    }
-    SetNonConstant(frag.type_bits.data(), k - first);
-    if (d.is_lossless) ++frag.num_lossless;
-    frag.ncb_req[frag.ncb_n] = std::byte{d.plan.req_length};
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_mu span allocated at nb*sizeof(T) above; ncb_n < nb
-    StoreWord<Bits>(frag.ncb_mu.data() + frag.ncb_n * sizeof(T),
-                    std::bit_cast<Bits>(d.mu));
-    // szx-lint: allow(ptr-arith) -- cursor into the payload span allocated at FramePayloadCapacity above; zsize stays within each block's share
-    std::byte* const block_dst = frag.payload.data() + frag.payload_n;
-    const std::size_t zsize =
-        EncodeBlockInto(params.solution, block, d.mu, d.plan, block_dst);
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_zsize span allocated at nb*2 above; ncb_n < nb
-    StoreWord<std::uint16_t>(frag.ncb_zsize.data() + frag.ncb_n * 2,
-                             CheckedNarrow<std::uint16_t>(zsize));
-    frag.payload_n += zsize;
-    ++frag.ncb_n;
-  }
-}
 
 // Clamps the requested width so every chunk spans at least 8 blocks
 // (byte-aligned type bits) and returns the resulting chunk count.
@@ -156,7 +73,7 @@ ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
   }
 
   // One arena per chunk, owned (thread-locally) by the calling thread so the
-  // fragment memory outlives the parallel region regardless of which backend
+  // fragment memory outlives the parallel region regardless of which worker
   // ran it.  Each chunk index is executed by exactly one thread per region,
   // so no arena is ever shared within a region, and the vector's high-water
   // capacity is reused across calls.

@@ -28,8 +28,6 @@ PipelineResult CompressChunksPipelined(StreamWriter<T>& writer,
     throw Error("CompressChunksPipelined: chunk_elems must be > 0");
   }
   PipelineResult result;
-  result.overlapped =
-      overlap && exec::ActiveBackend() == exec::Backend::kPool;
 
   const auto wall_begin = Clock::now();
   std::vector<T> front(chunk_elems);  // being compressed
@@ -55,7 +53,7 @@ PipelineResult CompressChunksPipelined(StreamWriter<T>& writer,
     const std::size_t front_filled = back_filled;
     back_filled = 0;
 
-    if (result.overlapped) {
+    if (overlap) {
       // Prefetch chunk N+1 on the pool while this thread encodes chunk N.
       exec::Executor::Batch prefetch;
       exec::Executor::Default().Submit(

@@ -11,10 +11,6 @@
 // appended in arrival order on a single thread, so the finished container
 // is byte-identical to a plain read-then-append loop -- the determinism
 // battery holds pipelined output to that contract.
-//
-// With the OMP backend active (SZX_EXECUTOR=omp) there is no persistent
-// pool to park the prefetch on, so the pipeline degrades to the sequential
-// loop; output bytes do not change, only the overlap disappears.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +30,6 @@ struct PipelineResult {
   double read_s = 0.0;         ///< summed time inside the read callback
   double compress_s = 0.0;     ///< summed time inside Append
   double wall_s = 0.0;         ///< end-to-end makespan
-  bool overlapped = false;     ///< true when the pool prefetch was active
 };
 
 /// Pulls the next chunk: fill up to `buf.size()` elements, return how many
@@ -44,8 +39,8 @@ template <SupportedFloat T>
 using ChunkReadFn = std::function<std::size_t(std::span<T> buf)>;
 
 /// Streams chunks of `chunk_elems` elements from `read_chunk` into
-/// `writer`.  When `overlap` is true and the pool backend is active, the
-/// next read runs on the executor while the current chunk compresses;
+/// `writer`.  When `overlap` is true, the next read runs on the executor
+/// while the current chunk compresses;
 /// otherwise the loop is sequential.  Either way the container bytes are
 /// identical.  Exceptions from the callback or the codec propagate (the
 /// in-flight prefetch is joined first).

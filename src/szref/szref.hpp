@@ -47,8 +47,9 @@ std::vector<float> SzDecompress(ByteSpan stream, int num_threads = 0);
 /// Element count recorded in a compressed stream header.
 std::uint64_t SzElementCount(ByteSpan stream);
 
-/// OpenMP variant: compresses dims-aligned chunks independently (the
-/// paper's omp-SZ splits the dataset; note it "does not support 2D data" --
+/// Chunk-parallel variant: compresses dims-aligned chunks independently,
+/// one chunk per thread, on the executor (the paper's omp-SZ splits the
+/// dataset; note it "does not support 2D data" --
 /// we mirror that restriction for fidelity in the Table 6 bench, but the
 /// implementation itself accepts any dimensionality).
 ByteBuffer SzCompressOmp(std::span<const float> data,

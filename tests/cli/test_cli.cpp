@@ -1,6 +1,7 @@
 // End-to-end integration tests of the szx_cli binary (path injected by
 // CMake as SZX_CLI_PATH): compress / info / verify / decompress round
 // trips through real files, plus failure modes.
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -51,6 +53,21 @@ int RunCli(const std::string& args) {
 int CliExitCode(const std::string& args) {
   const int status = RunCli(args);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// One run's stdout (stderr dropped) and its exit code.
+std::pair<std::string, int> CliOutput(const std::string& args) {
+  const std::string cmd =
+      std::string(SZX_CLI_PATH) + " " + args + " 2>/dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  std::string out;
+  std::array<char, 256> buf{};
+  std::size_t n = 0;
+  while ((n = std::fread(buf.data(), 1, buf.size(), pipe)) > 0) {
+    out.append(buf.data(), n);
+  }
+  const int status = ::pclose(pipe);
+  return {out, WIFEXITED(status) ? WEXITSTATUS(status) : -1};
 }
 
 void WriteFloats(const std::string& path, const std::vector<float>& v) {
@@ -171,37 +188,6 @@ TEST_F(CliTest, KernelFlagProducesIdenticalStreams) {
   std::remove(scalar_out.c_str());
 }
 
-TEST_F(CliTest, ExecutorFlagProducesIdenticalStreams) {
-  const std::string pool_out = TempPath("pool.szx");
-  // Both backends must emit the byte-identical stream (the executor
-  // contract); --executor omp in an OpenMP-free build falls back to the
-  // pool with a warning and equality is trivially preserved.
-  ASSERT_EQ(RunCli("compress -i " + raw_ + " -o " + pool_out +
-                " -e 1e-3 --executor pool --threads 4"),
-            0);
-  ASSERT_EQ(RunCli("compress -i " + raw_ + " -o " + compressed_ +
-                " -e 1e-3 --executor omp --threads 4"),
-            0);
-  std::ifstream a(pool_out, std::ios::binary | std::ios::ate);
-  std::ifstream b(compressed_, std::ios::binary | std::ios::ate);
-  ASSERT_EQ(a.tellg(), b.tellg());
-  const auto size = static_cast<std::size_t>(a.tellg());
-  a.seekg(0);
-  b.seekg(0);
-  std::vector<char> abuf(size);
-  std::vector<char> bbuf(size);
-  a.read(abuf.data(), static_cast<std::streamsize>(size));
-  b.read(bbuf.data(), static_cast<std::streamsize>(size));
-  EXPECT_EQ(abuf, bbuf);
-  // --executor alone implies the parallel decode path, like --threads.
-  ASSERT_EQ(RunCli("decompress -i " + compressed_ + " -o " + recon_ +
-                " --executor pool"),
-            0);
-  const auto recon = ReadFloats(recon_);
-  ASSERT_EQ(recon.size(), data_.size());
-  std::remove(pool_out.c_str());
-}
-
 TEST_F(CliTest, RejectsBadKernelThreadsAndExecutor) {
   EXPECT_NE(RunCli("compress -i " + raw_ + " -o " + compressed_ +
                 " --kernel sse9"),
@@ -209,9 +195,11 @@ TEST_F(CliTest, RejectsBadKernelThreadsAndExecutor) {
   EXPECT_NE(RunCli("compress -i " + raw_ + " -o " + compressed_ +
                 " --threads 0"),
             0);
-  EXPECT_NE(RunCli("compress -i " + raw_ + " -o " + compressed_ +
-                " --executor fibers"),
-            0);
+  // The executor is no longer selectable: the pool runs every parallel
+  // region, and the old flag is an unknown flag (usage error).
+  EXPECT_EQ(CliExitCode("compress -i " + raw_ + " -o " + compressed_ +
+                        " --executor pool"),
+            2);
 }
 
 TEST_F(CliTest, KernelListPrintsDispatchTable) {
@@ -635,6 +623,26 @@ TEST_F(CliTest, ContainerPackQueryUnpackRoundTrip) {
   }
   std::remove(container.c_str());
   std::remove(roi_path.c_str());
+}
+
+// verify -z on a format-v3 container runs query's per-chunk checksum pass:
+// a pinned intact container verifies clean (0), and a pinned damaged one
+// fails (3) with exactly the damaged entries query lists.
+TEST_F(CliTest, VerifyChecksContainersLikeQuery) {
+  const std::string dir = SZX_GOLDEN_DIR;
+  const std::string intact = dir + "/container_single_f32.szx3";
+  const std::string damaged = dir + "/container_damaged_bitflip.szx3";
+  EXPECT_EQ(CliExitCode("verify -z " + intact), 0);
+  const auto [verify_out, verify_code] =
+      CliOutput("verify -z " + damaged + " --json");
+  const auto [query_out, query_code] =
+      CliOutput("query -i " + damaged + " --json");
+  EXPECT_EQ(verify_code, 3);
+  EXPECT_EQ(query_code, 3);
+  EXPECT_NE(verify_out.find("\"damaged_entries\":[1,6,7,9]"),
+            std::string::npos)
+      << verify_out;
+  EXPECT_EQ(verify_out, query_out);
 }
 
 TEST_F(CliTest, ContainerExitCodeContract) {

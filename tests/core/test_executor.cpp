@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -74,35 +75,26 @@ void CountTask(void* ctx, std::uint64_t) {
       1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
 }
 
-// Restores the process-wide backend on scope exit so tests that force one
-// cannot leak it into later tests (or the ctest environment's choice).
-class BackendGuard {
- public:
-  BackendGuard() : saved_(ActiveBackend()) {}
-  ~BackendGuard() { SetActiveBackend(saved_); }
-
- private:
-  Backend saved_;
-};
-
-TEST(ExecutorConfig, NamesAndAvailability) {
-  EXPECT_STREQ(BackendName(Backend::kOmp), "omp");
-  EXPECT_STREQ(BackendName(Backend::kPool), "pool");
-  BackendGuard guard;
-  EXPECT_EQ(SetActiveBackend(Backend::kPool), Backend::kPool);
-  EXPECT_EQ(ActiveBackend(), Backend::kPool);
-  const Backend omp = SetActiveBackend(Backend::kOmp);
-  // Requesting omp installs it only when the build has OpenMP.
-  EXPECT_EQ(omp, OmpAvailable() ? Backend::kOmp : Backend::kPool);
-  EXPECT_EQ(ActiveBackend(), omp);
-}
-
 TEST(ExecutorConfig, ResolveThreads) {
   EXPECT_EQ(ResolveThreads(5), 5);
   EXPECT_EQ(ResolveThreads(1), 1);
   EXPECT_GE(ResolveThreads(0), 1);
   EXPECT_GE(ResolveThreads(-3), 1);
   EXPECT_GE(DefaultThreads(), 1);
+}
+
+// SZX_THREADS is the one width knob; OMP_NUM_THREADS is not read.
+TEST(ExecutorConfig, DefaultThreadsReadsSzxThreadsOnly) {
+  const char* saved = std::getenv("SZX_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("SZX_THREADS", "3", 1);
+  EXPECT_EQ(DefaultThreads(), 3);
+  ::unsetenv("SZX_THREADS");
+  ::setenv("OMP_NUM_THREADS", "7", 1);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(DefaultThreads(), hw == 0 ? 1 : static_cast<int>(hw));
+  ::unsetenv("OMP_NUM_THREADS");
+  if (saved != nullptr) ::setenv("SZX_THREADS", restore.c_str(), 1);
 }
 
 TEST(Executor, ParallelForRunsEveryIndexExactlyOnce) {
@@ -203,8 +195,6 @@ TEST(Executor, NestedParallelForRunsInline) {
 }
 
 TEST(Executor, NestedFacadeParallelFor) {
-  BackendGuard guard;
-  SetActiveBackend(Backend::kPool);
   std::atomic<std::uint64_t> ran{0};
   exec::ParallelFor(6, 4, [&](std::uint64_t) {
     exec::ParallelFor(10, 4, [&](std::uint64_t) {
@@ -333,33 +323,23 @@ TEST(Executor, SteadyStateSubmissionIsZeroHeapAlloc) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 100u * 256u);  // szx-mo: relaxed; read after the join that ordered the counts
 }
 
-// The facade must conserve tasks and propagate failures identically on
-// every backend the build offers.
-TEST(Facade, ConservationAndErrorsOnEveryBackend) {
-  BackendGuard guard;
-  Backend backends[2] = {Backend::kPool, Backend::kPool};
-  std::size_t nbackends = 1;
-  if (OmpAvailable()) backends[nbackends++] = Backend::kOmp;
-  for (std::size_t bi = 0; bi < nbackends; ++bi) {
-    const Backend b = backends[bi];
-    SetActiveBackend(b);
-    std::atomic<std::uint64_t> ran{0};
-    exec::ParallelFor(4096, 4, [&](std::uint64_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
-    });
-    EXPECT_EQ(ran.load(std::memory_order_relaxed), 4096u) << BackendName(b);  // szx-mo: relaxed; read after the join that ordered the counts
+// The facade must conserve tasks and propagate failures like the pool.
+TEST(Facade, ConservationAndErrors) {
+  std::atomic<std::uint64_t> ran{0};
+  exec::ParallelFor(4096, 4, [&](std::uint64_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
+  });
+  EXPECT_EQ(ran.load(std::memory_order_relaxed), 4096u);  // szx-mo: relaxed; read after the join that ordered the counts
 
-    std::atomic<std::uint64_t> attempted{0};
-    EXPECT_THROW(
-        exec::ParallelFor(512, 4,
-                          [&](std::uint64_t i) {
-                            attempted.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
-                            if (i == 99) throw Error("facade failure");
-                          }),
-        Error)
-        << BackendName(b);
-    EXPECT_EQ(attempted.load(std::memory_order_relaxed), 512u) << BackendName(b);  // szx-mo: relaxed; read after the join that ordered the counts
-  }
+  std::atomic<std::uint64_t> attempted{0};
+  EXPECT_THROW(
+      exec::ParallelFor(512, 4,
+                        [&](std::uint64_t i) {
+                          attempted.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
+                          if (i == 99) throw Error("facade failure");
+                        }),
+      Error);
+  EXPECT_EQ(attempted.load(std::memory_order_relaxed), 512u);  // szx-mo: relaxed; read after the join that ordered the counts
 }
 
 TEST(Facade, SerialWidthRunsInline) {

@@ -1,5 +1,5 @@
 // SZ-style baseline: error-bound property sweeps across dimensionalities,
-// plus the OpenMP chunked variant.
+// plus the chunk-parallel variant.
 #include "szref/szref.hpp"
 
 #include <gtest/gtest.h>

@@ -3,12 +3,17 @@
 //   szx_cli compress   -i data.f32 -o data.szx [-t f32|f64]
 //                      [-m rel|abs|pwrel] [-e 1e-3] [-b 128] [--omp [N]]
 //                      [--threads N] [--kernel scalar|avx2|avx512|neon]
-//                      [--executor omp|pool] [--hybrid] [--integrity]
+//                      [--hybrid] [--integrity]
 //   szx_cli decompress -i data.szx -o recon.f32 [--omp [N]] [--threads N]
-//                      [--kernel scalar|avx2|avx512|neon] [--executor omp|pool]
-//   szx_cli info       -i data.szx
+//                      [--kernel scalar|avx2|avx512|neon]
+//                      (--omp/--threads pick the chunk-parallel codec on the
+//                      work-stealing pool; N defaults to SZX_THREADS, else
+//                      the hardware thread count)
+//   szx_cli info       -i data.szx      (reads the header only)
 //   szx_cli verify     -i data.f32 -z data.szx          (prints metrics)
-//   szx_cli verify     -z data.szx        (checksum / structural verification)
+//   szx_cli verify     -z data.szx|data.szx3
+//                      (checksum / structural verification; a container
+//                      gets the per-chunk check query runs)
 //   szx_cli salvage    -i data.szx -o recon.f32 [--report PATH]
 //                      [--sentinel VAL] [--threads N]
 //   szx_cli tune       -i data.f32 [-t f32|f64] [-m ...] [-e ...]
@@ -36,6 +41,7 @@
 //      salvage found damage, server answered with a non-OK status)
 //   4  I/O error (cannot open/read/write a file; cannot connect to or
 //      talk to a szx_serve daemon)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -75,10 +81,11 @@ struct IoError : std::runtime_error {
                "usage:\n"
                "  szx_cli compress   -i IN -o OUT [-t f32|f64]"
                " [-m rel|abs|pwrel] [-e BOUND] [-b BLOCK] [--omp [N]]"
-               " [--threads N] [--kernel scalar|avx2|avx512|neon] [--executor omp|pool]"
+               " [--threads N] [--kernel scalar|avx2|avx512|neon]"
                " [--hybrid] [--integrity]\n"
                "  szx_cli decompress -i IN -o OUT [--omp [N]] [--threads N]"
-               " [--kernel scalar|avx2|avx512|neon] [--executor omp|pool]\n"
+               " [--kernel scalar|avx2|avx512|neon]\n"
+               "    (--omp/--threads: chunk-parallel codec, N threads)\n"
                "  szx_cli info       -i IN\n"
                "  szx_cli verify     -i RAW -z COMPRESSED   (distortion check)\n"
                "  szx_cli verify     -z COMPRESSED          (integrity check)\n"
@@ -137,8 +144,7 @@ struct Args {
   double error_bound = 1e-3;
   double sentinel = std::numeric_limits<double>::quiet_NaN();
   std::uint32_t block_size = 128;
-  std::string kernel;    // empty = dispatcher's own choice
-  std::string executor;  // empty = SZX_EXECUTOR / default backend
+  std::string kernel;  // empty = dispatcher's own choice
   bool omp = false;
   bool hybrid = false;
   bool deep = false;
@@ -194,10 +200,6 @@ Args Parse(int argc, char** argv) {
       if (a.threads < 1) Usage("--threads must be >= 1");
     } else if (arg == "--kernel") {
       a.kernel = next();
-    } else if (arg == "--executor") {
-      // Backend choice implies the parallel codec paths (like --threads).
-      a.omp = true;
-      a.executor = next();
     } else if (arg == "--hybrid") {
       a.hybrid = true;
     } else if (arg == "--deep") {
@@ -255,9 +257,6 @@ Args Parse(int argc, char** argv) {
       Usage("--kernel must be scalar, avx2, avx512, neon or list");
     }
   }
-  if (!a.executor.empty() && a.executor != "omp" && a.executor != "pool") {
-    Usage("--executor must be omp or pool");
-  }
   return a;
 }
 
@@ -298,16 +297,6 @@ void ApplyKernelChoice(const Args& a) {
                    a.kernel.c_str(),
                    kernels::KindName(kernels::ActiveKind()));
     }
-  }
-  if (!a.executor.empty()) {
-    const exec::Backend want =
-        a.executor == "omp" ? exec::Backend::kOmp : exec::Backend::kPool;
-    if (want == exec::Backend::kOmp && !exec::OmpAvailable()) {
-      std::fprintf(stderr,
-                   "szx: --executor omp requested but this build has no "
-                   "OpenMP; using the work-stealing pool\n");
-    }
-    exec::SetActiveBackend(want);
   }
 }
 
@@ -361,23 +350,30 @@ int DoDecompress(const Args& a) {
 
 int DoQuery(const Args& a, const ReadSource& file);
 
+// The first `n` bytes of `file` (fewer when it is shorter), read by
+// position: enough to sniff a magic or parse a stream header.
+ByteSpan ReadPrefix(const iosim::FileSource& file, std::size_t n,
+                    ByteBuffer& scratch) {
+  return file.ReadAt(
+      0, static_cast<std::size_t>(std::min<std::uint64_t>(file.size(), n)),
+      scratch);
+}
+
 int DoInfo(const Args& a) {
-  {
-    // Sniff the magic by position: a format-v3 container degrades to the
-    // query summary without reading the file twice.
-    const iosim::FileSource file(a.input);
-    ByteBuffer magic;
-    if (file.size() >= kContainerMagic.size() &&
-        IsContainer(file.ReadAt(0, kContainerMagic.size(), magic))) {
-      return DoQuery(a, file);
-    }
-  }
-  ByteBuffer stream = ReadFile(a.input);
-  if (hybrid::IsHybridStream(stream)) {
+  // A format-v3 container degrades to the query summary, and an SZX1/SZX2
+  // stream is described from its header bytes alone; only a hybrid wrapper,
+  // whose inner header is compressed, is read whole.
+  const iosim::FileSource file(a.input);
+  ByteBuffer scratch;
+  const ByteSpan head = ReadPrefix(file, sizeof(Header), scratch);
+  if (IsContainer(head)) return DoQuery(a, file);
+  Header h;
+  if (hybrid::IsHybridStream(head)) {
     std::printf("hybrid wrapper (SZx + lossless stage)\n");
-    stream = hybrid::Unwrap(stream);
+    h = PeekHeader(hybrid::Unwrap(ReadFile(a.input)));
+  } else {
+    h = PeekHeader(head);
   }
-  const Header h = PeekHeader(stream);
   std::printf("szx stream v%d\n", h.version);
   std::printf("  dtype          %s\n", h.dtype == 0 ? "float32" : "float64");
   std::printf("  elements       %llu\n",
@@ -853,7 +849,13 @@ int main(int argc, char** argv) {
     if (cmd == "verify") {
       if (a.compressed.empty()) Usage("-z required");
       if (!a.input.empty()) return DoVerify(a);
-      // Integrity-only mode: no raw reference needed.
+      // Integrity-only mode: no raw reference needed.  A container gets the
+      // per-chunk checksum pass query runs (same listing, same exit code).
+      const iosim::FileSource file(a.compressed);
+      ByteBuffer magic;
+      if (IsContainer(ReadPrefix(file, kContainerMagic.size(), magic))) {
+        return DoQuery(a, file);
+      }
       ByteBuffer stream = ReadFile(a.compressed);
       if (hybrid::IsHybridStream(stream)) stream = hybrid::Unwrap(stream);
       const Header h = PeekHeader(stream);
